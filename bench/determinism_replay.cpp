@@ -13,6 +13,8 @@
 //  3. The hardware-counter mode is cycle-for-cycle equivalent to the
 //     software counter framework's sampling decisions.
 //
+// Exits nonzero when any check fails.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/BrrUnit.h"
@@ -95,19 +97,26 @@ int main() {
   Table T;
   T.addRow({"check", "result"});
 
-  T.addRow({"LFSR shift-back replay across 4000 squash bursts",
-            replayAfterRandomSquashes() ? "identical" : "DIVERGED"});
+  bool AllPassed = true;
+  auto AddCheck = [&](const char *Name, bool Ok, const char *Pass,
+                      const char *Fail) {
+    AllPassed &= Ok;
+    T.addRow({Name, Ok ? Pass : Fail});
+  };
+
+  AddCheck("LFSR shift-back replay across 4000 squash bursts",
+           replayAfterRandomSquashes(), "identical", "DIVERGED");
 
   std::vector<uint64_t> RunA = microbenchSamples(0xace1);
   std::vector<uint64_t> RunB = microbenchSamples(0xace1);
   std::vector<uint64_t> RunC = microbenchSamples(0xbeef);
-  T.addRow({"same-seed microbench sample counts",
-            RunA == RunB ? "bit-identical" : "DIVERGED"});
-  T.addRow({"different-seed microbench sample counts",
-            RunA != RunC ? "differ (as expected)" : "UNEXPECTEDLY EQUAL"});
+  AddCheck("same-seed microbench sample counts", RunA == RunB,
+           "bit-identical", "DIVERGED");
+  AddCheck("different-seed microbench sample counts", RunA != RunC,
+           "differ (as expected)", "UNEXPECTEDLY EQUAL");
 
-  T.addRow({"hw-counter brr == sw-counter decisions",
-            hwCounterMatchesSwCounter() ? "equivalent" : "DIVERGED"});
+  AddCheck("hw-counter brr == sw-counter decisions",
+           hwCounterMatchesSwCounter(), "equivalent", "DIVERGED");
 
   T.print();
 
@@ -116,5 +125,5 @@ int main() {
     TotalA += C;
   std::printf("\nsample totals: seed 0xace1 -> %llu, expected ~%u\n",
               static_cast<unsigned long long>(TotalA), 3 * 100000 / 64);
-  return 0;
+  return AllPassed ? 0 : 1;
 }

@@ -72,13 +72,16 @@ std::vector<Inst> CfgSamplingTransform::uncommonPreludeInsts() const {
 std::vector<Inst> CfgSamplingTransform::resetCounterInsts() const {
   if (Config.Framework != SamplingFramework::CounterBased)
     return {};
+  // Same schedule as CounterGlobals::emitResetCounter: the clone bypasses
+  // the common decrement, so the reset leaves Interval-1.
   if (Config.CounterPlacement == CounterHome::Register) {
     std::vector<Inst> Out;
-    appendLoadConst(Out, RegCounter, Config.Interval);
+    appendLoadConst(Out, RegCounter, Config.Interval - 1);
     return Out;
   }
-  return {Inst::ld(RegScratch, RegGlobals, resetDisp()),
-          Inst::st(RegScratch, RegGlobals, countDisp())};
+  std::vector<Inst> Out = commonPathInsts();
+  Out.insert(Out.begin(), Inst::ld(RegScratch, RegGlobals, resetDisp()));
+  return Out;
 }
 
 void CfgSamplingTransform::recordCheck(BlockId Block) {

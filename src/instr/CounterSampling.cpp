@@ -72,10 +72,13 @@ void CounterGlobals::emitLoadReset(ProgramBuilder &B) const {
 }
 
 void CounterGlobals::emitResetCounter(ProgramBuilder &B) const {
+  // The instrumented copy bypasses the common decrement, so apply it here:
+  // leaving Interval-1 makes the next sample fire exactly Interval region
+  // entries later, as on the No-Duplication uncommon path.
   if (Home == CounterHome::Register) {
-    B.emitLoadConst(RegCounter, Interval);
+    B.emitLoadConst(RegCounter, Interval - 1);
     return;
   }
   B.emit(Inst::ld(RegScratch, RegGlobals, resetDisp()));
-  B.emit(Inst::st(RegScratch, RegGlobals, countDisp()));
+  emitDecrementStore(B);
 }

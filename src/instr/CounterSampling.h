@@ -66,8 +66,9 @@ public:
   /// falls through the common decrement/store.
   void emitLoadReset(ProgramBuilder &B) const;
 
-  /// Full-Duplication variant: reset mCount directly (load reset, store to
-  /// count), used at the entry of the instrumented code version.
+  /// Full-Duplication variant, used at the entry of the instrumented code
+  /// version: reset the counter to Interval-1 (load reset, decrement, store
+  /// to count), since that copy skips the common path's decrement.
   void emitResetCounter(ProgramBuilder &B) const;
 
   uint64_t countAddr() const { return CountAddr; }

@@ -130,6 +130,13 @@ endif()
 # 4. The committed baseline is reproducible: --update-baselines into a
 # scratch dir regenerates it byte-identically, and a run dir compares
 # clean against it.
+foreach(COMMITTED IN ITEMS ${BASELINE} ${PGO_BASELINE})
+  if(NOT EXISTS ${COMMITTED})
+    message(FATAL_ERROR
+            "committed baseline ${COMMITTED} is missing; is it ignored by "
+            ".gitignore instead of committed?")
+  endif()
+endforeach()
 run_bench(ERR_BL --experiment fig13 --scale 100 --no-table
           --update-baselines --baseline-dir ${WORKDIR}/bench)
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files

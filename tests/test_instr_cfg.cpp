@@ -228,6 +228,21 @@ TEST(CfgTransform, CounterScheduleIsExact) {
   }
 }
 
+TEST(CfgTransform, FullDuplicationCounterScheduleIsExact) {
+  for (CounterHome Home : {CounterHome::Memory, CounterHome::Register})
+    for (uint64_t Interval : {4ull, 32ull, 256ull}) {
+      InstrumentationConfig C;
+      C.Framework = SamplingFramework::CounterBased;
+      C.CounterPlacement = Home;
+      C.Dup = DuplicationMode::FullDuplication;
+      C.Interval = Interval;
+      const uint64_t Iters = Interval * 10;
+      CfgLoop G(C, Iters);
+      NeverTakenDecider D;
+      EXPECT_EQ(runLoop(G, D, Iters).first, 10u) << describeConfig(C);
+    }
+}
+
 TEST(CfgTransform, CheckSymbolsNameTheCheckInstructions) {
   const uint64_t Iters = 16;
   for (SamplingFramework F :

@@ -299,6 +299,24 @@ TEST(Transform, RegisterCounterFullDuplication) {
   EXPECT_NEAR(static_cast<double>(Counter), 8.0, 1.0);
 }
 
+TEST(Transform, FullDuplicationCounterScheduleIsExact) {
+  // Interval * k region entries take exactly k samples in either counter
+  // home: the instrumented copy's reset must leave a full period, not
+  // Interval+1 entries, before the next sample.
+  for (CounterHome Home : {CounterHome::Memory, CounterHome::Register})
+    for (uint64_t Interval : {4ull, 32ull, 256ull}) {
+      InstrumentationConfig C;
+      C.Framework = SamplingFramework::CounterBased;
+      C.CounterPlacement = Home;
+      C.Dup = DuplicationMode::FullDuplication;
+      C.Interval = Interval;
+      const uint64_t Iters = Interval * 10;
+      SiteLoop L(C, Iters);
+      NeverTakenDecider D;
+      EXPECT_EQ(L.run(D, Iters).first, 10u) << describeConfig(C);
+    }
+}
+
 TEST(Transform, DescribeConfigMentionsRegisterCounter) {
   InstrumentationConfig C;
   C.Framework = SamplingFramework::CounterBased;
