@@ -6,7 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
+
+namespace bor {
+// Without a printer gtest shows a TapSet as its raw bytes, heap pointers
+// included, and gtest_discover_tests copies that text into every ctest
+// name, so the names of the parameterized tests changed from run to run.
+void PrintTo(const TapSet &T, std::ostream *OS) { *OS << T.Name; }
+} // namespace bor
 
 using namespace bor;
 
