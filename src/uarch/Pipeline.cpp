@@ -6,10 +6,86 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace bor;
+
+namespace {
+
+/// Placement ran past the issue ring: two live cycles would share a slot.
+/// Checked in every build type, NDEBUG or not.
+[[noreturn]] void issueRingOverrun(uint64_t Cycle, uint64_t Floor,
+                                   uint64_t Slots) {
+  std::fprintf(stderr,
+               "Pipeline: issue placement at cycle %" PRIu64
+               " is %" PRIu64 " cycles past its floor %" PRIu64
+               "; the issue ring holds %" PRIu64 "\n",
+               Cycle, Cycle - Floor, Floor, Slots);
+  std::abort();
+}
+
+} // namespace
+
+size_t Pipeline::issueRingSlots(const PipelineConfig &Config) {
+  assert(Config.IssueWidth != 0 &&
+         Config.IssueWidth < (1u << IssueCountBits) &&
+         "issue width must fit a ring slot's count field");
+  const MemHierConfig &M = Config.MemHier;
+  uint64_t Longest =
+      std::max<uint64_t>(uint64_t(M.L1DHitCycles) + M.L2HitCycles +
+                             M.MemCycles + Config.StoreForwardDelay,
+                         Config.MulLatency);
+  uint64_t Span = uint64_t(Config.RobEntries) * Longest +
+                  Config.RobEntries / Config.IssueWidth;
+  return std::bit_ceil(Span);
+}
+
+Pipeline::ForwardTable::ForwardTable(size_t Capacity) {
+  resize(std::bit_ceil(std::max<size_t>(Capacity, 4)));
+}
+
+void Pipeline::ForwardTable::resize(size_t Capacity) {
+  Slots.assign(Capacity, Entry());
+  Mask = Capacity - 1;
+  Shift = 64 - std::countr_zero(Capacity);
+}
+
+void Pipeline::ForwardTable::insert(uint64_t Word, uint64_t Fwd,
+                                    uint64_t Horizon) {
+  size_t I = slotOf(Word);
+  for (; Slots[I].Fwd != 0; I = (I + 1) & Mask) {
+    if (Slots[I].Word == Word) {
+      Slots[I].Fwd = Fwd; // the youngest store to a word wins
+      return;
+    }
+  }
+  Slots[I] = {Word, Fwd};
+  if (++Used * 2 > Slots.size())
+    prune(Horizon);
+}
+
+void Pipeline::ForwardTable::prune(uint64_t Horizon) {
+  size_t Live = 0;
+  for (const Entry &E : Slots)
+    Live += E.Fwd > Horizon;
+  size_t Capacity = Slots.size();
+  while (Live * 4 > Capacity)
+    Capacity *= 2;
+  std::vector<Entry> Old = std::move(Slots);
+  resize(Capacity);
+  Used = Live;
+  for (const Entry &E : Old) {
+    if (E.Fwd <= Horizon)
+      continue;
+    size_t I = slotOf(E.Word);
+    while (Slots[I].Fwd != 0)
+      I = (I + 1) & Mask;
+    Slots[I] = E;
+  }
+}
 
 void bor::publishUarchCounters(const MicroarchState &Uarch) {
   if (!telemetry::CounterRegistry::enabled())
@@ -204,43 +280,42 @@ uint64_t Pipeline::fetchInstruction(const ExecRecord &R) {
   return FetchCycle;
 }
 
-uint64_t Pipeline::placeIssue(uint64_t Earliest) {
-  uint64_t C = Earliest;
-  for (;;) {
-    unsigned &Used = IssueCount[C];
-    if (Used < Config.IssueWidth) {
-      ++Used;
-      break;
+uint64_t Pipeline::placeIssue(uint64_t Earliest, uint64_t Floor) {
+  // Floor never falls (dispatch is in order), so no later placement asks
+  // for a cycle below it. Probing within IssueMask of Floor, a slot tagged
+  // with another cycle holds a dead one and is reset, never an alias.
+  for (uint64_t C = Earliest;; ++C) {
+    if (C - Floor > IssueMask) [[unlikely]]
+      issueRingOverrun(C, Floor, IssueRing.size());
+    uint64_t &Slot = IssueRing[C & IssueMask];
+    if (Slot >> IssueCountBits != C)
+      Slot = C << IssueCountBits;
+    if ((Slot & ((1u << IssueCountBits) - 1)) < Config.IssueWidth) {
+      ++Slot;
+      return C;
     }
-    ++C;
   }
-  if ((Stats.Insts & 0x3fff) == 0 && LastCommitCycle > 1024)
-    trimIssueWindow(LastCommitCycle - 1024);
-  return C;
 }
 
-void Pipeline::trimIssueWindow(uint64_t Frontier) {
-  IssueCount.erase(IssueCount.begin(), IssueCount.lower_bound(Frontier));
-}
-
-uint64_t Pipeline::completeExecution(const ExecRecord &R, uint64_t Issue) {
+uint64_t Pipeline::completeExecution(const ExecRecord &R, uint64_t Issue,
+                                     uint64_t Floor) {
   if (R.I.isLoad()) {
     uint64_t Done =
         Issue + Uarch.MemHier.dataAccess(R.MemAddr, /*IsWrite=*/false);
     // Store-to-load forwarding: data from an in-flight store to the same
-    // word is available one cycle after the store produces it.
-    auto It = StoreReady.find(R.MemAddr & ~7ULL);
-    if (It != StoreReady.end() &&
-        It->second + Config.StoreForwardDelay > Done)
-      Done = It->second + Config.StoreForwardDelay;
-    return Done;
+    // word is available StoreForwardDelay cycles after the store
+    // produces it.
+    return std::max(Done, Forwarding.find(R.MemAddr & ~7ULL));
   }
   if (R.I.isStore()) {
     // Stores retire from a store buffer; the cache access is charged for
     // hit-rate accounting but does not delay commit.
     Uarch.MemHier.dataAccess(R.MemAddr, /*IsWrite=*/true);
     uint64_t Done = Issue + 1;
-    StoreReady[R.MemAddr & ~7ULL] = Done;
+    // Every later load issues at or after Floor and completes no earlier
+    // than an L1D hit later, so a store forwarding by then delays none.
+    Forwarding.insert(R.MemAddr & ~7ULL, Done + Config.StoreForwardDelay,
+                      Floor + Config.MemHier.L1DHitCycles);
     return Done;
   }
   if (R.I.Op == Opcode::Mul)
@@ -325,21 +400,21 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
       Disp = DispatchStage.place(
           std::max(D + Config.DecodeToDispatch, RobReady));
 
-      uint64_t Earliest = Disp + Config.DispatchToIssue;
+      uint64_t Floor = Disp + Config.DispatchToIssue;
+      uint64_t Earliest = Floor;
       uint8_t Srcs[2];
       unsigned NumSrcs = R.I.sourceRegs(Srcs);
       for (unsigned S = 0; S != NumSrcs; ++S)
         Earliest = std::max(Earliest, RegReady[Srcs[S]]);
 
-      Issue = placeIssue(Earliest);
-      Done = completeExecution(R, Issue);
+      Issue = placeIssue(Earliest, Floor);
+      Done = completeExecution(R, Issue, Floor);
       if (R.I.writesReg())
         RegReady[R.I.Rd] = Done;
 
       C = CommitStage.place(Done + 1);
       RobSlotFree[RobAllocated % Config.RobEntries] = C;
       ++RobAllocated;
-      LastCommitCycle = C;
     }
 
     if (Observer) {

@@ -44,8 +44,6 @@
 #include "uarch/ReturnAddressStack.h"
 
 #include <cassert>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 namespace bor {
@@ -192,6 +190,16 @@ public:
     Observer = std::move(Callback);
   }
 
+  /// Slots in the issue ring of a Pipeline built from \p Config: the
+  /// power of two above the farthest any issue placement can land past its
+  /// instruction's issue floor (see docs/INTERNALS.md).
+  static size_t issueRingSlots(const PipelineConfig &Config);
+
+  /// Words the store-forwarding table holds right now. It keeps only stores
+  /// that can still delay a load, so this is bounded by the in-flight
+  /// window, not by the number of distinct words ever stored.
+  size_t forwardingEntries() const { return Forwarding.size(); }
+
   const MemoryHierarchy &memHier() const { return Uarch.MemHier; }
   const TournamentPredictor &predictor() const { return Uarch.Predictor; }
   const Btb &btb() const { return Uarch.TargetBuffer; }
@@ -221,12 +229,51 @@ private:
     }
   };
 
+  /// Store-to-load forwarding table: the cycle from which the youngest
+  /// store to each 8-byte word can forward its data to a load. Open
+  /// addressing with linear probing, at most half full. When it fills, it
+  /// drops every entry at or before the horizon the caller passes (no load
+  /// still to come can complete earlier, so such entries never matter) and
+  /// doubles only if the survivors would fill more than a quarter.
+  class ForwardTable {
+  public:
+    explicit ForwardTable(size_t Capacity);
+    /// Forwarding cycle of the youngest store to \p Word, 0 if none is kept.
+    uint64_t find(uint64_t Word) const {
+      for (size_t I = slotOf(Word);; I = (I + 1) & Mask)
+        if (Slots[I].Fwd == 0 || Slots[I].Word == Word)
+          return Slots[I].Fwd;
+    }
+    /// Records a store to \p Word forwarding from cycle \p Fwd (nonzero).
+    void insert(uint64_t Word, uint64_t Fwd, uint64_t Horizon);
+    size_t size() const { return Used; }
+
+  private:
+    struct Entry {
+      uint64_t Word = 0;
+      uint64_t Fwd = 0; ///< 0 marks an empty slot.
+    };
+    size_t slotOf(uint64_t Word) const {
+      return static_cast<size_t>((Word >> 3) * 0x9e3779b97f4a7c15ULL >>
+                                 Shift);
+    }
+    void resize(size_t Capacity);
+    void prune(uint64_t Horizon);
+
+    std::vector<Entry> Slots;
+    size_t Mask = 0;
+    unsigned Shift = 0;
+    size_t Used = 0;
+  };
+
   uint64_t fetchInstruction(const ExecRecord &R);
-  uint64_t placeIssue(uint64_t Earliest);
-  void trimIssueWindow(uint64_t Frontier);
+  /// Places an issue at the earliest cycle >= \p Earliest with spare
+  /// width. \p Floor is the instruction's dispatch + DispatchToIssue.
+  uint64_t placeIssue(uint64_t Earliest, uint64_t Floor);
   /// Completion cycle of \p R when it issues at \p Issue, including cache
   /// latencies and store-to-load forwarding constraints.
-  uint64_t completeExecution(const ExecRecord &R, uint64_t Issue);
+  uint64_t completeExecution(const ExecRecord &R, uint64_t Issue,
+                             uint64_t Floor);
 
   PipelineConfig Config;
 
@@ -261,15 +308,18 @@ private:
 
   // Back-end state.
   std::array<uint64_t, 32> RegReady;
-  /// Store-to-load forwarding: cycle at which the youngest store to each
-  /// 8-byte-aligned address has produced its data. A later load to the
-  /// same address cannot complete before this (this is what serializes a
+  /// Store-to-load forwarding: a later load to a stored word cannot
+  /// complete before the store's data forwards (this is what serializes a
   /// counter-based framework's load/decrement/store chain across sites).
-  std::unordered_map<uint64_t, uint64_t> StoreReady;
-  std::map<uint64_t, unsigned> IssueCount; ///< OoO issue-width tracking.
+  ForwardTable Forwarding{4 * static_cast<size_t>(Config.RobEntries)};
+  /// OoO issue-width tracking: one slot per cycle, indexed by the cycle's
+  /// low bits and packed as (cycle << IssueCountBits) | issues placed.
+  static constexpr unsigned IssueCountBits = 8;
+  std::vector<uint64_t> IssueRing =
+      std::vector<uint64_t>(issueRingSlots(Config), 0);
+  uint64_t IssueMask = IssueRing.size() - 1;
   std::vector<uint64_t> RobSlotFree; ///< commit cycle per ROB slot (ring).
   uint64_t RobAllocated = 0;
-  uint64_t LastCommitCycle = 0;
 
   PipelineStats Stats;
   std::vector<MarkerEvent> Markers;
