@@ -7,13 +7,17 @@
 #include "exp/Runner.h"
 
 #include "exp/Json.h"
+#include "exp/ThreadPool.h"
 #include "telemetry/Counters.h"
 #include "telemetry/Telemetry.h"
 
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <memory>
 #include <mutex>
+#include <thread>
 
 namespace bor {
 namespace exp {
@@ -47,8 +51,7 @@ public:
                    Name.c_str(), Done, Total, Elapsed, Eta);
       return;
     }
-    // Jsonl: one self-contained object per tick, consumable line by line
-    // (the future service mode streams exactly this to clients).
+    // Jsonl: one self-contained object per tick, consumable line by line.
     JsonObjectWriter W;
     W.field("experiment", Name);
     W.fieldRaw("cells_done", jsonNumber(static_cast<uint64_t>(Done)));
@@ -74,35 +77,77 @@ private:
   size_t Done = 0;
 };
 
-/// The explicit stand-in record for a cell that never produced a result:
-/// its grid coordinates survive (so rows still line up downstream), and
-/// cell_status/attempts say what happened instead of metrics.
-RunRecord makeMarkerRecord(const ExperimentSpec &Spec, size_t Index,
-                           const CellOutcome &Outcome) {
+/// How one cell's execution ended.
+enum class CellOutcome {
+  Done,    ///< the cell's record is in place
+  TimedOut ///< exceeded the per-cell wall-clock budget
+};
+
+/// Shared state between a timed cell and its abandonable thread. The
+/// thread owns a reference; once the waiter gives up, the thread's
+/// eventual result is dropped on the floor and the state dies with the
+/// thread.
+struct TimedAttempt {
+  std::mutex M;
+  std::condition_variable CV;
+  bool Done = false;
+  bool Abandoned = false;
+  RunRecord Record;
+};
+
+/// Runs \p Fn on a detached thread and waits up to \p TimeoutS seconds.
+/// Returns true (with \p Out filled) when the cell finished in time.
+bool runAbandonable(std::function<RunRecord()> Fn, double TimeoutS,
+                    RunRecord &Out) {
+  auto State = std::make_shared<TimedAttempt>();
+  std::thread([State, Fn = std::move(Fn)] {
+    RunRecord R = Fn();
+    std::lock_guard<std::mutex> Lock(State->M);
+    if (!State->Abandoned)
+      State->Record = std::move(R);
+    State->Done = true;
+    State->CV.notify_all();
+  }).detach();
+
+  std::unique_lock<std::mutex> Lock(State->M);
+  auto Deadline = std::chrono::steady_clock::now() +
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::duration<double>(TimeoutS));
+  if (State->CV.wait_until(Lock, Deadline,
+                           [&State] { return State->Done; })) {
+    Out = std::move(State->Record);
+    return true;
+  }
+  State->Abandoned = true;
+  return false;
+}
+
+/// The explicit stand-in record for a cell that timed out: its grid
+/// coordinates survive (so rows still line up downstream), and
+/// cell_status says what happened instead of metrics.
+RunRecord makeTimeoutMarker(const ExperimentSpec &Spec, size_t Index) {
   RunRecord R;
   R.Params = Spec.Cells[Index];
-  R.metric("cell_status", std::string(Outcome.S == CellOutcome::State::TimedOut
-                                          ? "timeout"
-                                          : "lost"));
-  R.metric("attempts", static_cast<uint64_t>(Outcome.Attempts));
+  R.metric("cell_status", std::string("timeout"));
   return R;
 }
 
 } // namespace
 
-GridResult runExperimentWith(const ExperimentSpec &Spec,
-                             CellExecutor &Executor,
+GridResult runExperimentWith(const ExperimentSpec &Spec, unsigned Threads,
+                             double CellTimeoutS,
                              const std::vector<ResultSink *> &Sinks,
                              const RunnerHooks &Hooks) {
   assert(Spec.Run && "experiment has no run functor");
   telemetry::TraceWriter *TW =
       Hooks.Telemetry ? Hooks.Telemetry->Trace : nullptr;
+  const size_t N = Spec.Cells.size();
 
   if (telemetry::CounterRegistry::enabled()) {
     static const telemetry::Counter Experiments("exp.experiments");
     static const telemetry::Counter Cells("exp.cells");
     Experiments.add();
-    Cells.add(Spec.Cells.size());
+    Cells.add(N);
   }
 
   if (Spec.Setup) {
@@ -114,57 +159,85 @@ GridResult runExperimentWith(const ExperimentSpec &Spec,
     Spec.Setup();
   }
 
-  Heartbeat HB(Hooks.Progress, Spec.Name, Spec.Cells.size());
-  auto RunCell = [&Spec, TW](size_t I) {
-    telemetry::TraceSpan Span(
-        TW, "cell", "experiment",
-        {telemetry::TraceArg::str("experiment", Spec.Name),
-         telemetry::TraceArg::num("index", static_cast<uint64_t>(I))});
-    // Tag any sampled run inside this cell for the time-series sink; the
-    // cell index (not the worker thread) keys the series, which is what
-    // keeps timeseries.json thread-count-invariant.
-    telemetry::TimeSeries::Scope Tag(Spec.Name, static_cast<int64_t>(I));
-    RunRecord R = Spec.Run(Spec.Cells[I], I);
-    Span.close();
-    return R;
-  };
-  auto OnCellDone = [&HB](size_t) { HB.cellDone(); };
-
   GridResult Out;
-  Out.Records.resize(Spec.Cells.size());
-  Out.Outcomes = Executor.execute(Spec, Out.Records, RunCell, OnCellDone);
-  assert(Out.Outcomes.size() == Spec.Cells.size() &&
-         "executor must report one outcome per cell");
+  Out.Records.resize(N);
+  std::vector<CellOutcome> Outcomes(N, CellOutcome::Done);
+  Heartbeat HB(Hooks.Progress, Spec.Name, N);
 
-  for (size_t I = 0; I != Out.Outcomes.size(); ++I) {
-    const CellOutcome &O = Out.Outcomes[I];
-    if (O.S == CellOutcome::State::Done)
-      continue;
-    Out.Partial = true;
-    if (O.S == CellOutcome::State::TimedOut)
+  auto RunOne = [&](size_t I) {
+    if (CellTimeoutS <= 0) {
+      telemetry::TraceSpan Span(
+          TW, "cell", "experiment",
+          {telemetry::TraceArg::str("experiment", Spec.Name),
+           telemetry::TraceArg::num("index", static_cast<uint64_t>(I))});
+      // Tag any sampled run inside this cell for the time-series sink;
+      // the cell index (not the worker thread) keys the series, which is
+      // what keeps timeseries.json thread-count-invariant.
+      telemetry::TimeSeries::Scope Tag(Spec.Name, static_cast<int64_t>(I));
+      Out.Records[I] = Spec.Run(Spec.Cells[I], I);
+      Span.close();
+    } else {
+      // A cell over the budget is abandoned, not interrupted: it keeps
+      // running detached until it finishes or the process exits. It runs
+      // a value-captured copy of the run functor and the cell's
+      // parameters, without this frame's trace span or time-series tag,
+      // so it never dangles into the runner's stack. That does not make
+      // it self-contained: factories capture the raw telemetry-sink and
+      // checkpoint-pool pointers of ExperimentOptions into their run
+      // functors (a sampled cell emits a trace span every period), and
+      // those objects die with the driver. The driver therefore refuses
+      // --cell-timeout together with --trace, --flamegraph, --run-dir or
+      // --ckpt-library, the flags that make those pointers non-null.
+      std::function<RunRecord()> Timed =
+          [Run = Spec.Run, Cell = Spec.Cells[I], I]() { return Run(Cell, I); };
+      if (!runAbandonable(std::move(Timed), CellTimeoutS, Out.Records[I])) {
+        Outcomes[I] = CellOutcome::TimedOut;
+        if (telemetry::CounterRegistry::enabled()) {
+          static const telemetry::Counter TimedOut("exp.cells.timedout");
+          TimedOut.add();
+        }
+      }
+    }
+    HB.cellDone();
+  };
+
+  // Multi-cell grids always go through the pool — even with one worker —
+  // so the pool's telemetry counters depend only on the grid, never on
+  // the --threads value, keeping counter snapshots thread-count-invariant
+  // just like the result records.
+  if (N <= 1) {
+    for (size_t I = 0; I != N; ++I)
+      RunOne(I);
+  } else {
+    ThreadPool Pool(Threads);
+    for (size_t I = 0; I != N; ++I)
+      Pool.submit([&RunOne, I] { RunOne(I); });
+    Pool.wait();
+  }
+
+  for (size_t I = 0; I != N; ++I) {
+    if (Outcomes[I] == CellOutcome::TimedOut) {
       ++Out.CellsTimedOut;
-    else
-      ++Out.CellsLost;
-    Out.Records[I] = makeMarkerRecord(Spec, I, O);
+      Out.Records[I] = makeTimeoutMarker(Spec, I);
+    }
   }
 
   // A summary over an incomplete grid would average holes into lies;
   // partial runs ship the per-cell truth (markers included) and nothing
   // derived.
   std::vector<RunRecord> Summaries;
-  if (Spec.Summarize && !Out.Partial) {
+  if (Spec.Summarize && !Out.partial()) {
     telemetry::TraceSpan Span(TW, "summarize", "experiment",
                               {telemetry::TraceArg::str("experiment",
                                                         Spec.Name)});
     telemetry::TimeSeries::Scope Tag(Spec.Name,
                                      telemetry::TimeSeries::kSummarizeCell);
     Summaries = Spec.Summarize(Out.Records);
-  } else if (Spec.Summarize && Out.Partial) {
+  } else if (Spec.Summarize) {
     std::fprintf(stderr,
-                 "[bor-bench] %s: %zu/%zu cells missing "
-                 "(%zu timed out, %zu lost); skipping summary stage\n",
-                 Spec.Name.c_str(), Out.CellsTimedOut + Out.CellsLost,
-                 Spec.Cells.size(), Out.CellsTimedOut, Out.CellsLost);
+                 "[bor-bench] %s: %zu/%zu cells timed out; skipping "
+                 "summary stage\n",
+                 Spec.Name.c_str(), Out.CellsTimedOut, N);
   }
 
   for (ResultSink *Sink : Sinks)
@@ -185,8 +258,8 @@ std::vector<RunRecord> runExperiment(const ExperimentSpec &Spec,
                                      unsigned Threads,
                                      const std::vector<ResultSink *> &Sinks,
                                      const RunnerHooks &Hooks) {
-  LocalExecutor Executor(Threads);
-  return runExperimentWith(Spec, Executor, Sinks, Hooks).Records;
+  return runExperimentWith(Spec, Threads, /*CellTimeoutS=*/0, Sinks, Hooks)
+      .Records;
 }
 
 } // namespace exp

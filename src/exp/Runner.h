@@ -14,12 +14,17 @@
 /// trace span per stage and cell, and a periodic progress heartbeat on
 /// stderr — without touching the measurement path.
 ///
+/// With a per-cell wall-clock timeout, a cell that overruns is abandoned:
+/// the runner substitutes an explicit marker record
+/// (cell_status = "timeout") for it, skips the summary stage, and the
+/// driver exits with the partial-result status (3) instead of pretending
+/// the grid completed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BOR_EXP_RUNNER_H
 #define BOR_EXP_RUNNER_H
 
-#include "exp/CellExecutor.h"
 #include "exp/Experiment.h"
 #include "exp/ResultSink.h"
 
@@ -47,31 +52,29 @@ struct RunnerHooks {
   ProgressMode Progress = ProgressMode::Off;
 };
 
-/// Everything one grid run produced. Partial turns true when any cell
-/// did not complete (timed out locally, or lost after the service's
-/// retry budget); those cells' records are explicit markers (the cell's
-/// params plus cell_status/attempts metrics) and the summary stage is
-/// skipped, since summaries over an incomplete grid would silently lie.
+/// Everything one grid run produced. The run is partial when any cell
+/// timed out; those cells' records are explicit markers (the cell's
+/// params plus a cell_status metric) and the summary stage is skipped,
+/// since summaries over an incomplete grid would silently lie.
 struct GridResult {
   std::vector<RunRecord> Records; ///< per-cell, spec order
-  std::vector<CellOutcome> Outcomes;
-  bool Partial = false;
   size_t CellsTimedOut = 0;
-  size_t CellsLost = 0;
+
+  bool partial() const { return CellsTimedOut != 0; }
 };
 
-/// Runs \p Spec's cells on \p Executor and feeds every record to each of
-/// \p Sinks in deterministic spec order — the backend-agnostic core the
-/// local and distributed drivers share.
-GridResult runExperimentWith(const ExperimentSpec &Spec,
-                             CellExecutor &Executor,
+/// Runs \p Spec's cells on \p Threads in-process workers and feeds every
+/// record to each of \p Sinks in deterministic spec order. With
+/// \p CellTimeoutS > 0 every cell runs on an abandonable thread and a
+/// cell over that many seconds is replaced by its marker (see Runner.cpp
+/// for what an abandoned cell may still touch).
+GridResult runExperimentWith(const ExperimentSpec &Spec, unsigned Threads,
+                             double CellTimeoutS,
                              const std::vector<ResultSink *> &Sinks,
                              const RunnerHooks &Hooks = RunnerHooks());
 
-/// Runs \p Spec with \p Threads in-process workers and feeds every record
-/// to each of \p Sinks in deterministic spec order. Returns the per-cell
-/// records (without the summary records). Convenience wrapper over
-/// runExperimentWith + LocalExecutor.
+/// Runs \p Spec with \p Threads in-process workers and no cell timeout.
+/// Returns the per-cell records (without the summary records).
 std::vector<RunRecord> runExperiment(const ExperimentSpec &Spec,
                                      unsigned Threads,
                                      const std::vector<ResultSink *> &Sinks,

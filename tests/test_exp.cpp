@@ -2,11 +2,13 @@
 //
 // Covers the pieces of src/exp/ that the figure experiments themselves do
 // not exercise deterministically: JSON rendering, the thread pool, the
-// registry, and -- most importantly -- that the parallel runner produces
-// byte-identical output for any thread count.
+// registry, the driver's --cell-timeout partial results, and -- most
+// importantly -- that the parallel runner produces byte-identical output
+// for any thread count.
 //
 //===----------------------------------------------------------------------===//
 
+#include "exp/Driver.h"
 #include "exp/Experiment.h"
 #include "exp/Json.h"
 #include "exp/ResultSink.h"
@@ -15,13 +17,20 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace bor::exp;
 
@@ -328,6 +337,155 @@ TEST(TableSinkTest, RendersTitleColumnsAndNotes) {
   EXPECT_NE(Out.find("cell"), std::string::npos);
   EXPECT_NE(Out.find("third"), std::string::npos);
   EXPECT_NE(Out.find("probe notes line"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Cell timeout (bor-bench --cell-timeout)
+//===----------------------------------------------------------------------===//
+
+/// Holds cell 1 of the timeout probe until the test releases it, so the
+/// timeout fires, and lets the test wait for the abandoned thread
+/// to finish before the next test runs.
+struct CellLatch {
+  std::mutex M;
+  std::condition_variable CV;
+  bool Released = false;
+  bool Finished = false;
+};
+
+CellLatch &probeLatch() {
+  static CellLatch L;
+  return L;
+}
+
+/// Registers "timeout_probe": four cells, of which cell 1 blocks on the
+/// latch, plus a summary stage that a partial run must skip.
+const char *registerTimeoutProbe() {
+  static const char *Name = "timeout_probe";
+  ExperimentRegistry::instance().add(
+      Name, "test only: cell 1 blocks until released",
+      [](const ExperimentOptions &) {
+        ExperimentSpec S;
+        S.Title = "cell-timeout probe";
+        for (unsigned I = 0; I != 4; ++I)
+          S.Cells.push_back({{"cell", std::to_string(I)}});
+        S.Run = [](const ParamSet &Cell, size_t Index) {
+          if (Index == 1) {
+            CellLatch &L = probeLatch();
+            std::unique_lock<std::mutex> Lock(L.M);
+            // Bounded, so a runner that never times the cell out fails
+            // the test instead of hanging it.
+            L.CV.wait_for(Lock, std::chrono::seconds(30),
+                          [&L] { return L.Released; });
+            L.Finished = true;
+            L.CV.notify_all();
+          }
+          RunRecord R;
+          R.Params = Cell;
+          R.metric("index", static_cast<uint64_t>(Index));
+          return R;
+        };
+        S.Summarize = [](const std::vector<RunRecord> &) {
+          return std::vector<RunRecord>{
+              RunRecord().param("cell", "all").metric("index", uint64_t(6))};
+        };
+        return S;
+      });
+  return Name;
+}
+
+/// Calls benchMain with "bor-bench" followed by \p Args.
+int runBench(std::vector<std::string> Args) {
+  Args.insert(Args.begin(), "bor-bench");
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  Argv.push_back(nullptr);
+  return benchMain(static_cast<int>(Args.size()), Argv.data());
+}
+
+std::vector<std::string> readLines(const std::string &Path) {
+  std::ifstream In(Path);
+  std::vector<std::string> Lines;
+  for (std::string L; std::getline(In, L);)
+    Lines.push_back(L);
+  return Lines;
+}
+
+TEST(CellTimeoutTest, SlowCellIsMarkedAndTheRunExitsPartial) {
+  const std::string Json = ::testing::TempDir() + "timeout_probe.json";
+  std::remove(Json.c_str());
+  int RC = runBench({"--experiment", registerTimeoutProbe(), "--cell-timeout",
+                     "0.1", "--threads", "2", "--no-table", "--json", Json});
+
+  // Let the abandoned cell finish before anything else can fail.
+  CellLatch &L = probeLatch();
+  {
+    std::unique_lock<std::mutex> Lock(L.M);
+    L.Released = true;
+    L.CV.notify_all();
+    EXPECT_TRUE(L.CV.wait_for(Lock, std::chrono::seconds(30),
+                              [&L] { return L.Finished; }));
+  }
+
+  EXPECT_EQ(RC, 3);
+  std::vector<std::string> Lines = readLines(Json);
+  ASSERT_EQ(Lines.size(), 5u) << "header plus four cells, no summary";
+  EXPECT_NE(Lines[0].find("\"kind\":\"header\""), std::string::npos);
+  size_t Markers = 0;
+  for (size_t I = 1; I != Lines.size(); ++I) {
+    const std::string &Line = Lines[I];
+    std::string Cell = "\"cell\":" + std::to_string(I - 1) + ",";
+    EXPECT_NE(Line.find("\"kind\":\"cell\""), std::string::npos) << Line;
+    EXPECT_NE(Line.find(Cell), std::string::npos) << Line;
+    if (Line.find("\"cell_status\":\"timeout\"") != std::string::npos) {
+      ++Markers;
+      EXPECT_EQ(I - 1, 1u) << Line;
+      EXPECT_EQ(Line.find("\"index\""), std::string::npos) << Line;
+    } else {
+      std::string Index = "\"index\":" + std::to_string(I - 1);
+      EXPECT_NE(Line.find(Index), std::string::npos) << Line;
+    }
+  }
+  EXPECT_EQ(Markers, 1u);
+  for (const std::string &Line : Lines)
+    EXPECT_EQ(Line.find("\"kind\":\"summary\""), std::string::npos) << Line;
+  std::remove(Json.c_str());
+}
+
+/// An abandoned cell outlives the driver's trace writer, time series and
+/// checkpoint pool, so --cell-timeout with a flag that creates one of them
+/// is a usage error that names both flags, and nothing runs.
+void expectRejected(std::vector<std::string> Extra, const std::string &Flag) {
+  std::vector<std::string> Args = {"--experiment", registerTimeoutProbe(),
+                                   "--cell-timeout", "0.1", "--no-table"};
+  Args.insert(Args.end(), Extra.begin(), Extra.end());
+  ::testing::internal::CaptureStderr();
+  int RC = runBench(Args);
+  std::string Err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(RC, 2);
+  EXPECT_NE(Err.find("--cell-timeout"), std::string::npos) << Err;
+  EXPECT_NE(Err.find(Flag), std::string::npos) << Err;
+  EXPECT_EQ(std::count(Err.begin(), Err.end(), '\n'), 1) << Err;
+}
+
+TEST(CellTimeoutTest, RejectsTrace) {
+  expectRejected({"--trace", ::testing::TempDir() + "probe.trace.json"},
+                 "--trace");
+}
+
+TEST(CellTimeoutTest, RejectsFlamegraph) {
+  expectRejected({"--flamegraph", ::testing::TempDir() + "probe.folded"},
+                 "--flamegraph");
+}
+
+TEST(CellTimeoutTest, RejectsRunDir) {
+  expectRejected({"--run-dir", ::testing::TempDir() + "probe-run"},
+                 "--run-dir");
+}
+
+TEST(CellTimeoutTest, RejectsCheckpointLibrary) {
+  expectRejected({"--sample", "--ckpt-library"}, "--ckpt-library");
 }
 
 } // namespace
